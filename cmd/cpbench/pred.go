@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cp"
 	"repro/internal/datagen"
 	"repro/internal/derive"
@@ -187,6 +188,62 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	fmt.Fprintf(w, "detect:  ocean %s, nek %s, sweep accept %.2f%% (exact fallbacks %d of %d)\n",
 		rate(d2.Mesh.NumCells(), sweep2), rate(m3.NumCells(), sweep3),
 		100*sw.Orient3AcceptRate(), sw.Orient3Exact, sw.Orient3Calls())
+
+	// SoS tie resolution: the static plan tables vs the generic SoSSign
+	// reference, over the certified-zero orientations of the Nek field
+	// and of its ST4 reconstruction — the original and committed states
+	// the compressor's prepare sweep and speculation trials evaluate.
+	blob, err := core.CompressField3D(f3, tr3, core.Options{Tau: *tauRel * rangeOf3(f3), Spec: core.ST4})
+	if err != nil {
+		return false, err
+	}
+	f3d, err := core.Decompress3D(blob)
+	if err != nil {
+		return false, err
+	}
+	ud := make([]int64, len(f3d.U))
+	vd := make([]int64, len(f3d.V))
+	wd := make([]int64, len(f3d.W))
+	tr3.ToFixed(f3d.U, ud)
+	tr3.ToFixed(f3d.V, vd)
+	tr3.ToFixed(f3d.W, wd)
+	fields := [][3][]int64{{u3, v3, w3}, {ud, vd, wd}}
+	total := 0
+	for _, f := range fields {
+		total += harvestTies(m3, f, 1, nil)
+	}
+	stride := total / sosTieSamples
+	if stride < 1 {
+		stride = 1
+	}
+	var ties []sosTie
+	for _, f := range fields {
+		harvestTies(m3, f, stride, &ties)
+	}
+	refRows := make([][][]int64, len(ties))
+	refPert := make([][][]int, len(ties))
+	for i := range ties {
+		refRows[i], refPert[i] = ties[i].reference()
+	}
+	tableSigns := make([]int, len(ties))
+	tableSoS := bestOf(*reps, func() {
+		for i := range ties {
+			t := &ties[i]
+			tableSigns[i] = exact.SoSOrient3Sign(&t.m, &t.ids, t.replace)
+		}
+	})
+	mismatch := 0
+	refSoS := bestOf(*reps, func() {
+		mismatch = 0
+		for i := range ties {
+			if exact.SoSSign(refRows[i], refPert[i]) != tableSigns[i] {
+				mismatch++
+			}
+		}
+	})
+	sosSpeedup := speedup(refSoS, tableSoS)
+	fmt.Fprintf(w, "sos:     table %s, reference %s, speedup %.2fx (%d of %d ties, %d mismatches)\n",
+		perOp(len(ties), tableSoS), perOp(len(ties), refSoS), sosSpeedup, len(ties), total, mismatch)
 	_ = sink
 	_ = psiAcc
 
@@ -208,11 +265,93 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 		fmt.Fprintf(w, "gate: FAIL psi speedup %.2fx < %.2fx\n", psiSpeedup, *minPsiSpeedup)
 		ok = false
 	}
+	if len(ties) == 0 || mismatch > 0 {
+		fmt.Fprintf(w, "gate: FAIL sos table disagrees with the reference on %d of %d ties\n", mismatch, len(ties))
+		ok = false
+	}
+	if sosSpeedup < minSoSSpeedup {
+		fmt.Fprintf(w, "gate: FAIL sos speedup %.2fx < %.2fx\n", sosSpeedup, minSoSSpeedup)
+		ok = false
+	}
 	if ok {
-		fmt.Fprintf(w, "gate: ok (fallback %.4f <= %.4f, psi cert %.4f >= %.4f, orient3 %.2fx >= %.2fx, psi %.2fx >= %.2fx)\n",
-			fallback, *maxFallback, psi.PsiCertRate(), *minPsiCert, o3Speedup, *minSpeedup, psiSpeedup, *minPsiSpeedup)
+		fmt.Fprintf(w, "gate: ok (fallback %.4f <= %.4f, psi cert %.4f >= %.4f, orient3 %.2fx >= %.2fx, psi %.2fx >= %.2fx, sos %.2fx >= %.2fx)\n",
+			fallback, *maxFallback, psi.PsiCertRate(), *minPsiCert, o3Speedup, *minSpeedup, psiSpeedup, *minPsiSpeedup,
+			sosSpeedup, minSoSSpeedup)
 	}
 	return *gate && !ok, nil
+}
+
+// The SoS row times the generic SoSSign reference (~70 µs per tie) on a
+// few thousand ties, and requires the table path to beat it 2×.
+const (
+	sosTieSamples = 5000
+	minSoSSpeedup = 2.0
+)
+
+// sosTie is one certified-zero 3D orientation: the matrix SoS resolves,
+// its vertex ids and the origin row (-1 for the full simplex).
+type sosTie struct {
+	m       [4][4]int64
+	ids     [4]int
+	replace int
+}
+
+// reference returns the tie in SoSSign's generic form.
+func (t *sosTie) reference() ([][]int64, [][]int) {
+	rows := make([][]int64, 4)
+	pert := make([][]int, 4)
+	for r := range rows {
+		rows[r] = t.m[r][:]
+		pert[r] = []int{-1, -1, -1, -1}
+		if r != t.replace {
+			for c := 0; c < 3; c++ {
+				pert[r][c] = t.ids[r]*3 + c
+			}
+		}
+	}
+	return rows, pert
+}
+
+// harvestTies walks the five point-in-simplex orientations of every
+// non-degenerate tetrahedron of f (as Detector3D builds them) and counts
+// the certified zeros; with out set it appends every stride-th one.
+func harvestTies(mesh field.Mesh3D, f [3][]int64, stride int, out *[]sosTie) int {
+	var loc filter.Local // never flushed: harvesting is not predicate work
+	n := 0
+	for c := 0; c < mesh.NumCells(); c++ {
+		vs := mesh.CellVertices(c)
+		var m [4][4]int64
+		zero := true
+		for r, vi := range vs {
+			m[r] = [4]int64{f[0][vi], f[1][vi], f[2][vi], 1}
+			zero = zero && m[r][0] == 0 && m[r][1] == 0 && m[r][2] == 0
+		}
+		if zero {
+			continue
+		}
+		for i := -1; i < 4; i++ {
+			mr := m
+			if i >= 0 {
+				mr[i] = [4]int64{0, 0, 0, 1}
+			}
+			if loc.Orient3Sign(&mr) != 0 {
+				continue
+			}
+			if out != nil && n%stride == 0 {
+				*out = append(*out, sosTie{m: mr, ids: vs, replace: i})
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// perOp renders d over n operations as ns/op.
+func perOp(n int, d time.Duration) string {
+	if n == 0 {
+		return "- ns/tie"
+	}
+	return fmt.Sprintf("%.0f ns/tie", float64(d.Nanoseconds())/float64(n))
 }
 
 // bestOf runs f reps times and returns the fastest wall time.

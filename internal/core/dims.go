@@ -21,12 +21,19 @@ type dimOps interface {
 	// them; the caller provides the buffer so the mesh lookup stays on
 	// its stack).
 	cellVertices(c int, out *[4]int)
-	// vertexCells appends the cells incident to vertex v to buf.
-	vertexCells(v int, buf []int) []int
+	// vertexStar fills st with the cells incident to vertex v (in
+	// VertexCells order) and their vertex ids (in CellVertices order).
+	// The kernel gathers it once per vertex, not once per trial.
+	vertexStar(v int, st *field.Star)
 	// makeDetector binds the exact detector to the kernel's working
 	// arrays with the given global SoS vertex identity.
 	makeDetector(gid func(v int) int) cellChecker
-	// cellBound computes vertex vid's bound contribution of cell c:
+	// contains runs the detector's containment predicate on the cell
+	// with vertex ids vs (a star entry), counting into loc. It must
+	// follow makeDetector.
+	contains(vs *[4]int, loc *filter.Local) bool
+	// cellBound computes vertex vid's bound contribution of the cell
+	// with vertex ids vs (a star entry of vid):
 	// min(Ψ, τ′) of Theorem 2 (or the unsound orientation-only ablation
 	// variant), raised by the sign-uniformity relaxation when relax is
 	// set. The whole per-cell computation sits behind one call so the
@@ -35,20 +42,17 @@ type dimOps interface {
 	// semantics of Algorithm 2 lines 11–15 (a component with uniform
 	// strict sign over the cell may relax up to its own
 	// SignPreservingBound).
-	cellBound(vid, c int, tau int64, orientationOnly, relax bool) (cb int64, relaxed bool)
+	cellBound(vid int, vs *[4]int, tau int64, orientationOnly, relax bool) (cb int64, relaxed bool)
 }
 
 // cellChecker is the detector surface the kernel speculates against.
 // Both cp.Detector2D and cp.Detector3D satisfy it. ContainsBatch is the
 // cache-blocked bulk form used by the prepare() sweep: it evaluates the
 // containment predicate for every cell whose mask bit is set, writing
-// into out, amortizing fixed-point loads across a cell row.
+// into out, amortizing fixed-point loads across a cell row. The
+// speculation trial loop goes through dimOps.contains instead, which
+// takes the cell's vertex ids from the vertex star.
 type cellChecker interface {
-	CellContains(c int) bool
-	// CellContainsLocal is CellContains with batched filter-counter
-	// accounting, for the speculation trial loop (one kernel, one
-	// goroutine, one Local).
-	CellContainsLocal(c int, loc *filter.Local) bool
 	CellType(c int) cp.Type
 	ContainsBatch(mask, out []bool)
 }
@@ -65,8 +69,10 @@ func newDimOps(ndim int, ext [3]int, comps [maxComps][]int64, pred *filter.Local
 			u:    comps[0], v: comps[1],
 		}
 	}
+	mesh := field.Mesh3D{NX: ext[0], NY: ext[1], NZ: ext[2]}
 	return &dim3{
-		mesh: field.Mesh3D{NX: ext[0], NY: ext[1], NZ: ext[2]},
+		mesh: mesh,
+		star: mesh.StarStencil(),
 		u:    comps[0], v: comps[1], w: comps[2],
 		pred: pred,
 	}
@@ -76,6 +82,7 @@ func newDimOps(ndim int, ext [3]int, comps [maxComps][]int64, pred *filter.Local
 type dim2 struct {
 	mesh field.Mesh2D
 	u, v []int64
+	det  *cp.Detector2D
 }
 
 func (d *dim2) name() string  { return "2d" }
@@ -86,16 +93,20 @@ func (d *dim2) cellVertices(c int, out *[4]int) {
 	out[0], out[1], out[2] = vs[0], vs[1], vs[2]
 }
 
-func (d *dim2) vertexCells(v int, buf []int) []int {
-	return d.mesh.VertexCells(v, buf)
+func (d *dim2) vertexStar(v int, st *field.Star) {
+	d.mesh.VertexStar(v, st)
 }
 
 func (d *dim2) makeDetector(gid func(v int) int) cellChecker {
-	return &cp.Detector2D{Mesh: d.mesh, U: d.u, V: d.v, GlobalID: gid}
+	d.det = &cp.Detector2D{Mesh: d.mesh, U: d.u, V: d.v, GlobalID: gid}
+	return d.det
 }
 
-func (d *dim2) cellBound(vid, c int, tau int64, orientationOnly, relax bool) (cb int64, relaxed bool) {
-	vs := d.mesh.CellVertices(c)
+func (d *dim2) contains(vs *[4]int, loc *filter.Local) bool {
+	return d.det.TriContainsLocal(&[3]int{vs[0], vs[1], vs[2]}, loc)
+}
+
+func (d *dim2) cellBound(vid int, vs *[4]int, tau int64, orientationOnly, relax bool) (cb int64, relaxed bool) {
 	var a, b int
 	switch vid {
 	case vs[0]:
@@ -130,8 +141,10 @@ func (d *dim2) cellBound(vid, c int, tau int64, orientationOnly, relax bool) (cb
 // dim3 is the Freudenthal tetrahedral-mesh plug.
 type dim3 struct {
 	mesh    field.Mesh3D
+	star    *field.StarStencil3D
 	u, v, w []int64
 	pred    *filter.Local
+	det     *cp.Detector3D
 }
 
 func (d *dim3) name() string  { return "3d" }
@@ -141,16 +154,20 @@ func (d *dim3) cellVertices(c int, out *[4]int) {
 	*out = d.mesh.CellVertices(c)
 }
 
-func (d *dim3) vertexCells(v int, buf []int) []int {
-	return d.mesh.VertexCells(v, buf)
+func (d *dim3) vertexStar(v int, st *field.Star) {
+	d.star.Gather(v, st)
 }
 
 func (d *dim3) makeDetector(gid func(v int) int) cellChecker {
-	return &cp.Detector3D{Mesh: d.mesh, U: d.u, V: d.v, W: d.w, GlobalID: gid}
+	d.det = &cp.Detector3D{Mesh: d.mesh, U: d.u, V: d.v, W: d.w, GlobalID: gid}
+	return d.det
 }
 
-func (d *dim3) cellBound(vid, c int, tau int64, orientationOnly, relax bool) (cb int64, relaxed bool) {
-	vs := d.mesh.CellVertices(c)
+func (d *dim3) contains(vs *[4]int, loc *filter.Local) bool {
+	return d.det.TetContainsLocal(vs, loc)
+}
+
+func (d *dim3) cellBound(vid int, vs *[4]int, tau int64, orientationOnly, relax bool) (cb int64, relaxed bool) {
 	var o [3]int
 	n := 0
 	for _, v := range vs {

@@ -188,3 +188,49 @@ func TestSubResolutionTauRejected(t *testing.T) {
 		t.Error("sub-resolution Tau must be rejected (3D)")
 	}
 }
+
+// TestVertexStarTwoPhaseBlocks checks the kernel's vertex star on the
+// ghost-extended meshes of two-phase blocks: for every extended vertex it
+// must list exactly VertexCells' cells, in order, with CellVertices'
+// vertex ids for each.
+func TestVertexStarTwoPhaseBlocks(t *testing.T) {
+	neighbors := [][6]bool{
+		{},
+		{SideMaxZ: true},
+		{SideMinX: true, SideMaxY: true},
+		{SideMinX: true, SideMaxX: true, SideMinY: true, SideMaxY: true, SideMinZ: true, SideMaxZ: true},
+	}
+	for _, dims := range [][3]int{{2, 2, 2}, {3, 2, 5}, {6, 5, 4}} {
+		f := smooth3D(7, dims[0], dims[1], dims[2])
+		tr, err := fixed.Fit(f.U, f.V, f.W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nb := range neighbors {
+			e, err := NewEncoder3D(Block3D{
+				NX: dims[0], NY: dims[1], NZ: dims[2], U: f.U, V: f.V, W: f.W,
+				Transform: tr, Opts: Options{Tau: 0.05}, Neighbor: nb, TwoPhase: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := e.k
+			mesh := field.Mesh3D{NX: k.ext[0], NY: k.ext[1], NZ: k.ext[2]}
+			var st field.Star
+			for v := 0; v < mesh.NumVertices(); v++ {
+				k.dim.vertexStar(v, &st)
+				cells := mesh.VertexCells(v, nil)
+				if st.N != len(cells) {
+					t.Fatalf("dims %v nb %v vertex %d: %d cells, VertexCells %d", dims, nb, v, st.N, len(cells))
+				}
+				for n, c := range cells {
+					if st.Cells[n] != c || st.Verts[n] != mesh.CellVertices(c) {
+						t.Fatalf("dims %v nb %v vertex %d entry %d: (%d, %v), want (%d, %v)",
+							dims, nb, v, n, st.Cells[n], st.Verts[n], c, mesh.CellVertices(c))
+					}
+				}
+			}
+			k.close()
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cp"
 	"repro/internal/encoder"
 	"repro/internal/exact/filter"
+	"repro/internal/field"
 	"repro/internal/fixed"
 	"repro/internal/flightrec"
 	"repro/internal/huffman"
@@ -83,7 +84,7 @@ type kernel struct {
 	expSyms   []uint32
 	codeSyms  []uint32
 	literals  []byte
-	cellBuf   []int
+	star      field.Star // vertex star of the vertex being processed
 	scr       *kernelScratch
 	stats     Stats
 	tel       engineTel
@@ -164,7 +165,6 @@ func newKernel(blk blockSpec) (*kernel, error) {
 	k.expSyms = scr.expSyms[:0]
 	k.codeSyms = scr.codeSyms[:0]
 	k.literals = scr.literals[:0]
-	k.cellBuf = scr.cellBuf[:0]
 	if temporal {
 		for c := 0; c < blk.nc; c++ {
 			scr.prev[c] = growI64(scr.prev[c], n)
@@ -337,6 +337,11 @@ func (k *kernel) prepare() {
 			return (gy0+j)*gnx + (gx0 + i)
 		}
 	}
+	if gx0 == 0 && gy0 == 0 && gz0 == 0 && gnx == extNX && (k.blk.ndim == 2 || gny == extNY) {
+		// A whole-domain block: the global identity is the local index
+		// itself, so ties skip the coordinate decomposition.
+		gid = nil
+	}
 	k.det = k.dim.makeDetector(gid)
 	nc := k.dim.numCells()
 	k.scr.cellValid = growBool(k.scr.cellValid, nc)
@@ -380,19 +385,22 @@ func (k *kernel) prepare() {
 			}
 		}
 	}
+	// A vertex is cp-adjacent when a valid critical cell is incident to
+	// it, i.e. when it is one of that cell's vertices: mark the own-region
+	// vertices of the (few) critical cells.
 	k.scr.cpAdj = growBool(k.scr.cpAdj, k.blk.nx*k.blk.ny*k.blk.nz)
 	k.cpAdj = k.scr.cpAdj
-	for ok2 := 0; ok2 < k.blk.nz; ok2++ {
-		for oj := 0; oj < k.blk.ny; oj++ {
-			for oi := 0; oi < k.blk.nx; oi++ {
-				vid := k.extIdx(oi, oj, ok2)
-				k.cellBuf = k.dim.vertexCells(vid, k.cellBuf[:0])
-				for _, c := range k.cellBuf {
-					if k.cellValid[c] && k.cpCell[c] {
-						k.cpAdj[k.ownIdx(oi, oj, ok2)] = true
-						break
-					}
-				}
+	for c := 0; c < nc; c++ {
+		if !k.cellValid[c] || !k.cpCell[c] {
+			continue
+		}
+		k.dim.cellVertices(c, &vsbuf)
+		for _, vi := range vsbuf[:nv] {
+			i := vi%extNX - k.off[0]
+			j := (vi/extNX)%extNY - k.off[1]
+			kk := vi/(extNX*extNY) - k.off[2]
+			if i >= 0 && i < k.blk.nx && j >= 0 && j < k.blk.ny && kk >= 0 && kk < k.blk.nz {
+				k.cpAdj[k.ownIdx(i, j, kk)] = true
 			}
 		}
 	}
@@ -530,18 +538,19 @@ func (k *kernel) deriveBound(vid int) (xi int64, relaxed bool) {
 	if k.tel.deriveNS != nil {
 		defer k.tel.deriveNS.AddSince(time.Now())
 	}
-	k.cellBuf = k.dim.vertexCells(vid, k.cellBuf[:0])
+	st := &k.star
+	k.dim.vertexStar(vid, st)
 	xi = k.tau
 	orientOnly := k.blk.opts.OrientationOnly
 	relax := !k.blk.opts.DisableRelaxation
-	for _, c := range k.cellBuf {
+	for s, c := range st.Cells[:st.N] {
 		if !k.cellValid[c] {
 			continue
 		}
 		if k.cpCell[c] {
 			return 0, false
 		}
-		cb, rlx := k.dim.cellBound(vid, c, k.tau, orientOnly, relax)
+		cb, rlx := k.dim.cellBound(vid, &st.Verts[s], k.tau, orientOnly, relax)
 		if rlx {
 			relaxed = true
 		}
@@ -613,16 +622,16 @@ func (k *kernel) speculateFN(oi, oj, ok, vid int, cpA bool) (uint8, int64) {
 	if cpA {
 		return quantizer.LosslessSym, 0
 	}
-	return k.speculateVerify(oi, oj, ok, vid, func(c int) bool {
-		return !k.det.CellContainsLocal(c, &k.pred)
+	return k.speculateVerify(oi, oj, ok, vid, func(_ int, vs *[4]int) bool {
+		return !k.dim.contains(vs, &k.pred)
 	})
 }
 
 // speculateFull (ST4) verifies detection result and critical point type on
 // every adjacent cell, including cells that contain critical points.
 func (k *kernel) speculateFull(oi, oj, ok, vid int) (uint8, int64) {
-	return k.speculateVerify(oi, oj, ok, vid, func(c int) bool {
-		if k.det.CellContainsLocal(c, &k.pred) != k.cpCell[c] {
+	return k.speculateVerify(oi, oj, ok, vid, func(c int, vs *[4]int) bool {
+		if k.dim.contains(vs, &k.pred) != k.cpCell[c] {
 			return false
 		}
 		return !k.cpCell[c] || k.det.CellType(c) == k.origType[c]
@@ -632,8 +641,9 @@ func (k *kernel) speculateFull(oi, oj, ok, vid int) (uint8, int64) {
 // speculateVerify is the trial loop of Fig. 2: relax, compress, verify the
 // target on the adjacent cells with the candidate reconstruction in
 // place, restrict on failure, and hard cut-off to lossless after n_l
-// failures.
-func (k *kernel) speculateVerify(oi, oj, ok, vid int, check func(c int) bool) (uint8, int64) {
+// failures. The vertex star is gathered once, before the first trial:
+// check receives each valid adjacent cell with its vertex ids.
+func (k *kernel) speculateVerify(oi, oj, ok, vid int, check func(c int, vs *[4]int) bool) (uint8, int64) {
 	nl := k.blk.opts.Spec.retries()
 	try := k.tau << uint(nl)
 	fails := 0
@@ -641,6 +651,8 @@ func (k *kernel) speculateVerify(oi, oj, ok, vid int, check func(c int) bool) (u
 	for c := 0; c < k.blk.nc; c++ {
 		orig[c] = k.comps[c][vid]
 	}
+	st := &k.star
+	k.dim.vertexStar(vid, st)
 	for {
 		k.stats.SpecTrials++
 		k.tel.specTrials.Inc()
@@ -650,9 +662,8 @@ func (k *kernel) speculateVerify(oi, oj, ok, vid int, check func(c int) bool) (u
 			k.comps[c][vid] = recons[c]
 		}
 		okAll := true
-		k.cellBuf = k.dim.vertexCells(vid, k.cellBuf[:0])
-		for _, c := range k.cellBuf {
-			if k.cellValid[c] && !check(c) {
+		for s, c := range st.Cells[:st.N] {
+			if k.cellValid[c] && !check(c, &st.Verts[s]) {
 				okAll = false
 				break
 			}

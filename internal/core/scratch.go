@@ -31,7 +31,6 @@ type kernelScratch struct {
 	expSyms  []uint32
 	codeSyms []uint32
 	literals []byte
-	cellBuf  []int
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(kernelScratch) }}
@@ -74,12 +73,11 @@ func (k *kernel) close() {
 	scr.expSyms = k.expSyms[:0]
 	scr.codeSyms = k.codeSyms[:0]
 	scr.literals = k.literals[:0]
-	scr.cellBuf = k.cellBuf[:0]
 	for c := 0; c < maxComps; c++ {
 		k.comps[c], k.own[c], k.prev[c] = nil, nil, nil
 	}
 	k.valid, k.ownDone = nil, nil
 	k.cellValid, k.cpCell, k.cpAdj = nil, nil, nil
-	k.expSyms, k.codeSyms, k.literals, k.cellBuf = nil, nil, nil, nil
+	k.expSyms, k.codeSyms, k.literals = nil, nil, nil
 	scratchPool.Put(scr)
 }

@@ -33,15 +33,17 @@ func (d *Detector2D) gid(v int) int {
 // tie-breaking. Fully degenerate cells — every vector exactly zero, as in
 // masked land regions — carry no feature by convention.
 func (d *Detector2D) CellContains(c int) bool {
-	return d.CellContainsLocal(c, nil)
+	vs := d.Mesh.CellVertices(c)
+	return d.TriContainsLocal(&vs, nil)
 }
 
-// CellContainsLocal is CellContains with batched filter-counter
-// accounting: predicate certifications land in loc (flushed by the
-// caller) instead of the process-wide atomics. A nil loc counts
-// globally per call, exactly like CellContains.
-func (d *Detector2D) CellContainsLocal(c int, loc *filter.Local) bool {
-	vs := d.Mesh.CellVertices(c)
+// TriContainsLocal is CellContains for the triangle with vertex ids vs
+// (in CellVertices order), with batched filter-counter accounting:
+// predicate certifications land in loc (flushed by the caller) instead
+// of the process-wide atomics. A nil loc counts globally per call.
+// Callers that already hold a cell's vertex ids (the compressor's vertex
+// star) skip the CellVertices lookup.
+func (d *Detector2D) TriContainsLocal(vs *[3]int, loc *filter.Local) bool {
 	if d.U[vs[0]] == 0 && d.V[vs[0]] == 0 &&
 		d.U[vs[1]] == 0 && d.V[vs[1]] == 0 &&
 		d.U[vs[2]] == 0 && d.V[vs[2]] == 0 {
@@ -51,36 +53,40 @@ func (d *Detector2D) CellContainsLocal(c int, loc *filter.Local) bool {
 	for r, vi := range vs {
 		m[r] = [3]int64{d.U[vi], d.V[vi], 1}
 	}
-	return d.triContains(&m, &vs, loc)
+	return d.triContains(&m, vs, loc)
 }
 
 // triContains runs Algorithm 1 over an already-built orientation matrix:
 // the full-simplex sign followed by the three origin-substituted signs,
-// each through the certified filter with the exact/SoS fallback. Global
-// SoS identities are resolved lazily — only degenerate predicates pay
-// for them.
+// each through the certified filter with the exact/SoS fallback. Row i
+// is swapped for the origin in place and restored, so m is unchanged on
+// return. Global SoS identities are resolved lazily — only degenerate
+// predicates pay for them.
 func (d *Detector2D) triContains(m *[3][3]int64, vs *[3]int, loc *filter.Local) bool {
 	var gids [3]int
 	haveGids := false
 	s := 0
 	for i := -1; i < 3; i++ {
-		mr := *m
+		var saved [3]int64
 		if i >= 0 {
-			mr[i] = [3]int64{0, 0, 1}
+			saved = m[i]
+			m[i] = [3]int64{0, 0, 1}
 		}
-		si := loc.Orient2Sign(&mr)
+		si := loc.Orient2Sign(m)
 		if si == 0 {
 			// Certified exact zero: Simulation of Simplicity tie-break.
 			if !haveGids {
 				gids = [3]int{d.gid(vs[0]), d.gid(vs[1]), d.gid(vs[2])}
 				haveGids = true
 			}
-			rows := [3][]int64{mr[0][:], mr[1][:], mr[2][:]}
-			si = exact.SoSOrientSign(rows[:], gids[:], i)
+			si = exact.SoSOrient2Sign(m, &gids, i)
 		}
 		if i < 0 {
 			s = si
-		} else if si != s {
+			continue
+		}
+		m[i] = saved
+		if si != s {
 			return false
 		}
 	}
@@ -191,13 +197,14 @@ func (d *Detector3D) gid(v int) int {
 // CellContains reports whether tetrahedron c contains a critical point.
 // Fully degenerate cells carry no feature by convention.
 func (d *Detector3D) CellContains(c int) bool {
-	return d.CellContainsLocal(c, nil)
+	vs := d.Mesh.CellVertices(c)
+	return d.TetContainsLocal(&vs, nil)
 }
 
-// CellContainsLocal is CellContains with batched filter-counter
-// accounting; see Detector2D.CellContainsLocal.
-func (d *Detector3D) CellContainsLocal(c int, loc *filter.Local) bool {
-	vs := d.Mesh.CellVertices(c)
+// TetContainsLocal is CellContains for the tetrahedron with vertex ids vs
+// (in CellVertices order), with batched filter-counter accounting; see
+// Detector2D.TriContainsLocal.
+func (d *Detector3D) TetContainsLocal(vs *[4]int, loc *filter.Local) bool {
 	zero := true
 	for _, vi := range vs {
 		if d.U[vi] != 0 || d.V[vi] != 0 || d.W[vi] != 0 {
@@ -212,33 +219,37 @@ func (d *Detector3D) CellContainsLocal(c int, loc *filter.Local) bool {
 	for r, vi := range vs {
 		m[r] = [4]int64{d.U[vi], d.V[vi], d.W[vi], 1}
 	}
-	return d.tetContains(&m, &vs, loc)
+	return d.tetContains(&m, vs, loc)
 }
 
 // tetContains is the 3D analogue of Detector2D.triContains: the five
-// point-in-simplex predicates over a built matrix, each through the
-// certified filter, with SoS identities resolved lazily on degeneracy.
+// point-in-simplex predicates over a built matrix (origin row swapped in
+// place and restored), each through the certified filter, with SoS
+// identities resolved lazily on degeneracy.
 func (d *Detector3D) tetContains(m *[4][4]int64, vs *[4]int, loc *filter.Local) bool {
 	var gids [4]int
 	haveGids := false
 	s := 0
 	for i := -1; i < 4; i++ {
-		mr := *m
+		var saved [4]int64
 		if i >= 0 {
-			mr[i] = [4]int64{0, 0, 0, 1}
+			saved = m[i]
+			m[i] = [4]int64{0, 0, 0, 1}
 		}
-		si := loc.Orient3Sign(&mr)
+		si := loc.Orient3Sign(m)
 		if si == 0 {
 			if !haveGids {
 				gids = [4]int{d.gid(vs[0]), d.gid(vs[1]), d.gid(vs[2]), d.gid(vs[3])}
 				haveGids = true
 			}
-			rows := [4][]int64{mr[0][:], mr[1][:], mr[2][:], mr[3][:]}
-			si = exact.SoSOrientSign(rows[:], gids[:], i)
+			si = exact.SoSOrient3Sign(m, &gids, i)
 		}
 		if i < 0 {
 			s = si
-		} else if si != s {
+			continue
+		}
+		m[i] = saved
+		if si != s {
 			return false
 		}
 	}

@@ -182,3 +182,109 @@ func (m Mesh3D) VertexCells(v int, buf []int) []int {
 	}
 	return buf
 }
+
+// Star is the vertex star of one mesh vertex: its incident cells in
+// VertexCells order, each with its vertex ids in CellVertices order. The
+// compressor gathers it once per vertex and reuses it across every
+// speculation trial. 2D stars use the first three entries of each Verts
+// row.
+type Star struct {
+	N     int
+	Cells [MaxVertexCells3D]int
+	Verts [MaxVertexCells3D][4]int
+}
+
+// VertexStar fills st with the star of vertex v.
+func (m Mesh2D) VertexStar(v int, st *Star) {
+	var buf [MaxVertexCells2D]int
+	cells := m.VertexCells(v, buf[:0])
+	st.N = len(cells)
+	for n, c := range cells {
+		vs := m.CellVertices(c)
+		st.Cells[n] = c
+		st.Verts[n] = [4]int{vs[0], vs[1], vs[2]}
+	}
+}
+
+// StarStencil3D is the Freudenthal star stencil of a Mesh3D: the cell-id
+// and vertex-id offsets of the 24 tetrahedra around a vertex, in exactly
+// VertexCells order, each tagged with the incident cube it lies in. Cell
+// and vertex ids are linear in the grid coordinates, so one set of
+// offsets serves every vertex; a vertex on the mesh boundary masks out
+// the cubes that fall outside the grid, which leaves the surviving
+// entries in VertexCells order too.
+type StarStencil3D struct {
+	nx, ny, nz int
+	cube       [MaxVertexCells3D]uint8 // incident cube (di+1) | (dj+1)<<1 | (dk+1)<<2
+	cellOff    [MaxVertexCells3D]int   // cell id minus 6·(cube id of the vertex)
+	vertOff    [MaxVertexCells3D][4]int
+}
+
+// StarStencil returns the star stencil of m.
+func (m Mesh3D) StarStencil() *StarStencil3D {
+	st := &StarStencil3D{nx: m.NX, ny: m.NY, nz: m.NZ}
+	e := 0
+	// Same loop order as VertexCells: cubes (dk, dj, di) ∈ {-1,0}³, then
+	// the tetrahedra of the cube that contain the vertex's corner.
+	for dk := -1; dk <= 0; dk++ {
+		for dj := -1; dj <= 0; dj++ {
+			for di := -1; di <= 0; di++ {
+				corner := (-di) | (-dj)<<1 | (-dk)<<2
+				cubeOff := (dk*(m.NY-1)+dj)*(m.NX-1) + di
+				for _, t := range cornerTets[corner] {
+					st.cube[e] = uint8((di + 1) | (dj+1)<<1 | (dk+1)<<2)
+					st.cellOff[e] = 6*cubeOff + t
+					for r, c := range tetCorners[t] {
+						ox, oy, oz := c&1, (c>>1)&1, (c>>2)&1
+						st.vertOff[e][r] = ((dk+oz)*m.NY+(dj+oy))*m.NX + (di + ox)
+					}
+					e++
+				}
+			}
+		}
+	}
+	return st
+}
+
+// Gather fills st with the star of vertex v: the same cells, in the same
+// order, with the same vertex ids as VertexCells and CellVertices, at
+// the cost of one coordinate decomposition per vertex.
+func (s *StarStencil3D) Gather(v int, st *Star) {
+	nx, ny := s.nx, s.ny
+	i := v % nx
+	j := (v / nx) % ny
+	k := v / (nx * ny)
+	// Bit b of mask keeps the incident cube tagged b: a vertex on a min
+	// (max) face has no cube below (above) it on that axis.
+	mask := uint(0xFF)
+	if i == 0 {
+		mask &= 0xAA
+	}
+	if i == nx-1 {
+		mask &= 0x55
+	}
+	if j == 0 {
+		mask &= 0xCC
+	}
+	if j == ny-1 {
+		mask &= 0x33
+	}
+	if k == 0 {
+		mask &= 0xF0
+	}
+	if k == s.nz-1 {
+		mask &= 0x0F
+	}
+	base := 6 * ((k*(ny-1)+j)*(nx-1) + i)
+	n := 0
+	for e := range s.cube {
+		if mask>>s.cube[e]&1 == 0 {
+			continue
+		}
+		st.Cells[n] = base + s.cellOff[e]
+		off := &s.vertOff[e]
+		st.Verts[n] = [4]int{v + off[0], v + off[1], v + off[2], v + off[3]}
+		n++
+	}
+	st.N = n
+}

@@ -243,3 +243,45 @@ func TestReadRawShort(t *testing.T) {
 		t.Fatal("expected error on short read")
 	}
 }
+
+// starMatches checks that st is exactly the VertexCells/CellVertices star
+// of vertex v.
+func starMatches(t *testing.T, cells []int, cellVerts func(c int) [4]int, st *Star, v int) {
+	t.Helper()
+	if st.N != len(cells) {
+		t.Fatalf("vertex %d: star has %d cells, VertexCells %d", v, st.N, len(cells))
+	}
+	for n, c := range cells {
+		if st.Cells[n] != c {
+			t.Fatalf("vertex %d entry %d: cell %d, VertexCells %d", v, n, st.Cells[n], c)
+		}
+		if want := cellVerts(c); st.Verts[n] != want {
+			t.Fatalf("vertex %d cell %d: verts %v, CellVertices %v", v, c, st.Verts[n], want)
+		}
+	}
+}
+
+func TestStarStencil3DMatchesVertexCells(t *testing.T) {
+	for _, m := range []Mesh3D{{2, 2, 2}, {3, 2, 5}, {6, 5, 4}, {2, 7, 3}} {
+		sten := m.StarStencil()
+		var st Star
+		for v := 0; v < m.NumVertices(); v++ {
+			st = Star{N: -1}
+			sten.Gather(v, &st)
+			starMatches(t, m.VertexCells(v, nil), func(c int) [4]int { return m.CellVertices(c) }, &st, v)
+		}
+	}
+}
+
+func TestVertexStar2DMatchesVertexCells(t *testing.T) {
+	for _, m := range []Mesh2D{{2, 2}, {3, 5}, {6, 4}} {
+		var st Star
+		for v := 0; v < m.NumVertices(); v++ {
+			m.VertexStar(v, &st)
+			starMatches(t, m.VertexCells(v, nil), func(c int) [4]int {
+				vs := m.CellVertices(c)
+				return [4]int{vs[0], vs[1], vs[2]}
+			}, &st, v)
+		}
+	}
+}

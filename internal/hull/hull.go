@@ -54,8 +54,7 @@ func orientSign(xs, ys []int64, a, b, c int) int {
 	if s := filter.Orient2Sign(&m); s != 0 {
 		return s
 	}
-	rows := [3][]int64{m[0][:], m[1][:], m[2][:]}
-	return exact.SoSOrientSign(rows[:], []int{a, b, c}, -1)
+	return exact.SoSOrient2Sign(&m, &[3]int{a, b, c}, -1)
 }
 
 // ConvexHull returns the indices of the hull vertices in counterclockwise

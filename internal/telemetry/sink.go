@@ -18,6 +18,9 @@ type Snapshot struct {
 	Gauges     map[string]int64        `json:"gauges,omitempty"`
 	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
 	Spans      []SpanSnapshot          `json:"spans,omitempty"`
+	// DroppedSpans counts the root spans evicted from the collector's
+	// ring of the MaxRootSpans most recent ones (Spans holds the rest).
+	DroppedSpans int64 `json:"dropped_spans,omitempty"`
 }
 
 // HistSnapshot summarizes one histogram. Buckets lists only non-empty
@@ -120,12 +123,15 @@ func (c *Collector) Snapshot() Snapshot {
 	for n, h := range c.hists {
 		hists[n] = h
 	}
-	spans := make([]*Span, len(c.spans))
-	copy(spans, c.spans)
+	// Oldest first: the ring's head slot onwards, then the wrapped part.
+	spans := make([]*Span, 0, len(c.spans))
+	spans = append(spans, c.spans[c.spanHead:]...)
+	spans = append(spans, c.spans[:c.spanHead]...)
 	epoch := c.epoch
+	dropped := c.dropped
 	c.mu.Unlock()
 
-	var snap Snapshot
+	snap := Snapshot{DroppedSpans: dropped}
 	if len(counters) > 0 {
 		snap.Counters = make(map[string]int64, len(counters))
 		for n, ctr := range counters {
@@ -204,6 +210,11 @@ func EncodeJSONLine(w io.Writer, v any) error {
 // durations, then counters, gauges, and histograms sorted by name.
 func (c *Collector) WriteText(w io.Writer) error {
 	snap := c.Snapshot()
+	if snap.DroppedSpans > 0 {
+		if _, err := fmt.Fprintf(w, "(%d older root spans dropped)\n", snap.DroppedSpans); err != nil {
+			return err
+		}
+	}
 	for _, s := range snap.Spans {
 		if err := writeSpanText(w, s, 0); err != nil {
 			return err

@@ -27,7 +27,8 @@ type Span struct {
 	virtual  bool // duration supplied by AddChild; no wall-clock start
 }
 
-// Span starts a new root-level span.
+// Span starts a new root-level span. Once the collector holds
+// MaxRootSpans root spans, the new span replaces the oldest one.
 func (c *Collector) Span(name string) *Span {
 	if c == nil {
 		return nil
@@ -38,7 +39,13 @@ func (c *Collector) Span(name string) *Span {
 		c.epoch = s.start
 		c.epochSet = true
 	}
-	c.spans = append(c.spans, s)
+	if len(c.spans) < MaxRootSpans {
+		c.spans = append(c.spans, s)
+	} else {
+		c.spans[c.spanHead] = s
+		c.spanHead = (c.spanHead + 1) % MaxRootSpans
+		c.dropped++
+	}
 	c.mu.Unlock()
 	return s
 }

@@ -34,8 +34,16 @@ type Collector struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	spans    []*Span          // root-level spans, in creation order
 	now      func() time.Time // injectable clock for deterministic tests
+
+	// spans is a ring of the most recent root-level spans: filled in
+	// creation order up to MaxRootSpans, then overwritten oldest first,
+	// with spanHead the slot of the oldest retained span. A long-lived
+	// collector (topozipd opens a root span per request) thereby keeps
+	// bounded memory; dropped counts the evicted root spans.
+	spans    []*Span
+	spanHead int
+	dropped  int64
 
 	// epoch is the start time of the first root span; every span's
 	// exported start offset (SpanSnapshot.StartNS) is relative to it, so
@@ -43,6 +51,12 @@ type Collector struct {
 	epoch    time.Time
 	epochSet bool
 }
+
+// MaxRootSpans is the number of most recent root spans a collector
+// retains; older root spans (with their subtrees) are dropped and
+// counted in Snapshot.DroppedSpans. Counters, gauges and histograms are
+// unaffected.
+const MaxRootSpans = 4096
 
 // New returns an enabled collector.
 func New() *Collector {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -273,5 +274,49 @@ func TestUnendedSpanReportsElapsed(t *testing.T) {
 	snap := c.Snapshot()
 	if len(snap.Spans) != 1 || snap.Spans[0].DurationNS <= 0 {
 		t.Errorf("open span should report elapsed time, got %+v", snap.Spans)
+	}
+}
+
+// TestRootSpanRing emits far more root spans than the ring holds, as a
+// long-lived daemon does (one per request): the collector must keep only
+// the most recent MaxRootSpans, oldest first, count the rest as dropped,
+// and keep every counter and histogram exact.
+func TestRootSpanRing(t *testing.T) {
+	const total = 10_000
+	c := New()
+	ctr := c.Counter("server.requests")
+	h := c.Histogram("server.bytes")
+	for i := 0; i < total; i++ {
+		s := c.Span(fmt.Sprintf("req%d", i))
+		s.Child("spool").End()
+		s.End()
+		ctr.Inc()
+		h.Observe(int64(i))
+	}
+	snap := c.Snapshot()
+	if len(snap.Spans) > MaxRootSpans {
+		t.Fatalf("retained %d root spans, cap %d", len(snap.Spans), MaxRootSpans)
+	}
+	if got, want := snap.DroppedSpans, int64(total-len(snap.Spans)); got != want {
+		t.Fatalf("dropped = %d, want %d", got, want)
+	}
+	for i, s := range snap.Spans {
+		if want := fmt.Sprintf("req%d", total-len(snap.Spans)+i); s.Name != want || len(s.Children) != 1 {
+			t.Fatalf("span %d = %q with %d children, want %q with 1", i, s.Name, len(s.Children), want)
+		}
+	}
+	if got := snap.Counters["server.requests"]; got != total {
+		t.Fatalf("counter = %d, want %d", got, total)
+	}
+	hs := snap.Histograms["server.bytes"]
+	if hs.Count != total || hs.Sum != total*(total-1)/2 || hs.Min != 0 || hs.Max != total-1 {
+		t.Fatalf("histogram count=%d sum=%d min=%d max=%d", hs.Count, hs.Sum, hs.Min, hs.Max)
+	}
+	var buf bytes.Buffer
+	if err := c.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("(%d older root spans dropped)", snap.DroppedSpans); !strings.HasPrefix(buf.String(), want) {
+		t.Fatalf("text rendering does not report the drop: %.60q", buf.String())
 	}
 }

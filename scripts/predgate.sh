@@ -5,9 +5,11 @@
 # on the Ocean and Nek5000 golden fields and exits nonzero when the
 # filtered sign-of-determinant layer loses its contract — an exact
 # fallback rate above 5% on the detection sweep corpus, a Ψ-quotient
-# certification rate below 50%, or a filtered-vs-reference speedup
+# certification rate below 50%, a filtered-vs-reference speedup
 # below 1.5× on 3D orientation / 1.35× on the Ψ derivation (the Ψ
-# threshold carries ~10% noise headroom under its ~1.5× typical).
+# threshold carries ~10% noise headroom under its ~1.5× typical), or
+# an SoS table path that disagrees with the generic SoSSign reference
+# on a tie of the Nek ST4 compress or beats it by less than 2×.
 # Thresholds are overridable with the pred flags, passed through:
 #
 #	scripts/predgate.sh
